@@ -10,8 +10,8 @@ structural predicates (``subtree-covered``, ``unmapped-count``,
 Evidence is always derived from the *payload dict* produced by
 :func:`repro.matching.io.result_to_payload` (plus the axis keys attached
 by :func:`attach_result_axes`), never from live matcher state.  That is
-what makes constraint reports byte-identical across the inline, fork and
-pool backends: all three produce the identical payload, and evaluation
+what makes constraint reports byte-identical across the inline and
+pool backends: both produce the identical payload, and evaluation
 happens over that payload alone.
 """
 

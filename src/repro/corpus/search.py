@@ -7,10 +7,10 @@ buckets -- blends them, and keeps a candidate shortlist.  Cost is
 proportional to the matching posting lists, not the corpus.
 
 Stage 2 (**rerank**) runs the full hybrid QMatch engine on query ×
-shortlist only, through the same :class:`~repro.service.runner.BatchRunner`
-the batch service uses (so reranks parallelize over worker processes
-and hit the content-addressed result store when one is attached), and
-orders hits by tree QoM.
+shortlist only, through the batch service's job runner (in-process, or
+a :class:`~repro.service.pool.WorkerPool` when ``workers > 1``; either
+way reranks hit the content-addressed result store when one is
+attached), and orders hits by tree QoM.
 
 The point: against an ``N``-schema corpus a search examines
 ``len(shortlist)`` expensive pairs instead of ``N`` -- the
@@ -33,6 +33,7 @@ from repro.engine.stats import EngineStats
 from repro.obs.log import NULL_LOGGER
 from repro.obs.spans import current_tracer
 from repro.service.jobs import MatchJobSpec
+from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner
 from repro.service.store import ResultStore, content_hash
 
@@ -176,8 +177,8 @@ class CorpusSearcher:
         ``score = lw * lexical + (1 - lw) * jaccard``, where the
         lexical side is ``scorer`` -- ``cosine`` (default) or ``bm25``
         (see :data:`~repro.corpus.indexes.LEXICAL_SCORERS`; both live
-        in [0, 1]).  ``workers`` > 1 fans the rerank over that many
-        processes; ``store`` makes reranks content-addressed-cacheable
+        in [0, 1]).  ``workers`` > 1 fans the rerank over a worker pool
+        of that many processes (started per search); ``store`` makes reranks content-addressed-cacheable
         across searches.  ``log`` is an
         :class:`~repro.obs.log.EventLogger` that receives
         ``search.retrieve`` / ``search.rerank`` stage events (disabled
@@ -291,15 +292,17 @@ class CorpusSearcher:
             )
             for hit in shortlist
         ]
-        runner = BatchRunner(
-            workers=self.workers,
-            store=self.store,
-            retries=0,
-            inline=self.workers == 1,
-            log=self.log.child(stage="rerank"),
-        )
+        runner_kwargs = {
+            "store": self.store, "retries": 0,
+            "log": self.log.child(stage="rerank"),
+        }
         with stats.stage("search:rerank"):
-            report = runner.run(specs)
+            if self.workers == 1:
+                # Also the path inside pool workers' resident searchers.
+                report = BatchRunner(**runner_kwargs).run(specs)
+            else:
+                with WorkerPool(workers=self.workers, **runner_kwargs) as pool:
+                    report = pool.run(specs)
         stats.merge(report.stats)
         for hit, record in zip(shortlist, report.records):
             hit.reranked = True

@@ -6,9 +6,9 @@ deterministic segment groups (blake2b of the segment id, so a segment
 stays in its shard across reopenings) and fans the groups across a
 thread pool.  Stage 2 is inherited unchanged from
 :class:`~repro.corpus.search.CorpusSearcher`, whose rerank runs through
-:class:`~repro.service.runner.BatchRunner` -- so retrieval fan-out
-(threads over shards) composes with rerank parallelism (worker
-processes over candidate pairs) without either knowing about the other.
+the batch service's job runner -- so retrieval fan-out (threads over
+shards) composes with rerank parallelism (pool worker processes over
+candidate pairs) without either knowing about the other.
 
 Sharding never changes scores: every shard scores its documents against
 the *global* merged statistics (document frequencies, lengths, counts),

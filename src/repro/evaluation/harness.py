@@ -131,7 +131,7 @@ def evaluate_all(tasks: Iterable[MatchTask],
 
     With ``workers > 1`` every (task, matcher) run is fanned out over
     the batch service's worker-process pool instead of running serially
-    in-process (see :class:`repro.service.runner.BatchRunner`).  That
+    in-process (see :class:`repro.service.pool.WorkerPool`).  That
     path requires registry *names* (specs cross a process boundary) and
     is mutually exclusive with ``share_context`` (contexts cannot be
     shared across processes).
@@ -166,14 +166,14 @@ def evaluate_all(tasks: Iterable[MatchTask],
 
 def _evaluate_all_parallel(tasks, matchers, threshold, strategy,
                            workers) -> list[EvaluationRow]:
-    """Corpus evaluation routed through the batch runner's worker pool.
+    """Corpus evaluation routed through the batch service's worker pool.
 
     A failed or timed-out job degrades to a row with no quality numbers
     (``found=0``) rather than aborting the evaluation -- the batch
     service's graceful-degradation contract.
     """
     from repro.service.jobs import MatchJobSpec
-    from repro.service.runner import BatchRunner
+    from repro.service.pool import WorkerPool
     from repro.xsd.serializer import to_xsd
 
     if not all(isinstance(matcher, str) for matcher in matchers):
@@ -198,7 +198,8 @@ def _evaluate_all_parallel(tasks, matchers, threshold, strategy,
                 source_name=task.source.name,
                 target_name=task.target.name,
             ))
-    report = BatchRunner(workers=workers).run(specs)
+    with WorkerPool(workers=workers) as pool:
+        report = pool.run(specs)
     rows = []
     for record, (task, algorithm) in zip(report.records, units):
         payload = record.result or {}

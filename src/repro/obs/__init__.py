@@ -1,7 +1,7 @@
 """Observability: decision traces, metrics exposition, structured logs.
 
 The three pillars, each deliberately stdlib-only and mergeable across
-the fork boundary the batch service runs jobs behind:
+the process boundary the worker pool runs jobs behind:
 
 - :mod:`repro.obs.trace` -- hierarchical per-pair **decision traces** of
   a QMatch run (per-axis contributions, taxonomy category, threshold

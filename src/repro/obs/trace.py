@@ -20,7 +20,7 @@ as JSON-lines -- a header record first (schema version, run ID, run
 metadata), then one line per span, every record with sorted keys and
 compact separators so the same run always produces the same bytes.
 That byte stability is what lets the batch runner collect traces from
-forked worker processes and the tests assert a worker-side trace equals
+pool worker processes and the tests assert a worker-side trace equals
 an inline run bit for bit.
 
 Tracing is **zero-cost when disabled**: :data:`NULL_TRACER` is a

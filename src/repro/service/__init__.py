@@ -11,32 +11,27 @@ process over a corpus.  This subpackage is the serving layer on top of
 - :mod:`repro.service.store` -- a content-addressed
   :class:`ResultStore` keyed by (schema hashes, config fingerprint);
 - :mod:`repro.service.manifest` -- the ``qmatch batch`` manifest format;
-- :mod:`repro.service.runner` -- :class:`JobExecutionCore`, the
-  backend-agnostic per-job state machine (cache, retry, timeout,
-  structured errors), and :class:`BatchRunner`, its fork-per-attempt
-  batch backend;
-- :mod:`repro.service.pool` -- :class:`WorkerPool`, the persistent
-  pre-warmed process pool backend (resident thesaurus, parsed-tree
-  cache, resident corpus searcher) behind ``qmatch serve``;
-- :mod:`repro.service.http_api` -- the transport-agnostic HTTP JSON
-  router (routes, admission control, body limits, metrics);
-- :mod:`repro.service.server` -- :class:`MatchService` and the
-  threaded HTTP front end; :mod:`repro.service.aserver` -- the asyncio
-  front end with graceful drain that ``qmatch serve`` runs;
+- :mod:`repro.service.runner` -- :func:`execute_job`, the one job
+  body, and :class:`BatchRunner`, the per-job state machine (cache,
+  retry, structured errors) running jobs in-process;
+- :mod:`repro.service.pool` -- :class:`WorkerPool`, the runner on
+  persistent pre-warmed worker processes (deadlines, crash respawn,
+  resident thesaurus, parsed-tree cache and corpus searcher) behind
+  ``qmatch serve`` and ``qmatch batch``;
+- :mod:`repro.service.http_api` -- the HTTP JSON router (routes,
+  admission control, body limits, metrics);
+- :mod:`repro.service.server` -- :class:`MatchService`, the queue +
+  backend + store the router serves; :mod:`repro.service.aserver` --
+  the asyncio HTTP front end with graceful drain;
 - :mod:`repro.service.validation` -- input validation shared by the CLI
   flags, the manifest parser and the HTTP API.
 """
 
 from repro.service.jobs import JobQueue, JobRecord, JobState, MatchJobSpec
 from repro.service.manifest import load_manifest
-from repro.service.pool import PoolError, WorkerPool, execute_job_resident
-from repro.service.runner import (
-    BatchReport,
-    BatchRunner,
-    JobExecutionCore,
-    execute_job,
-)
-from repro.service.server import MatchService, create_server
+from repro.service.pool import PoolError, WorkerPool
+from repro.service.runner import BatchReport, BatchRunner, execute_job
+from repro.service.server import MatchService
 from repro.service.store import ResultStore, content_hash, schema_content_hash
 from repro.service.validation import (
     ValidationError,
@@ -48,7 +43,6 @@ from repro.service.validation import (
 __all__ = [
     "BatchReport",
     "BatchRunner",
-    "JobExecutionCore",
     "JobQueue",
     "JobRecord",
     "JobState",
@@ -59,9 +53,7 @@ __all__ = [
     "ValidationError",
     "WorkerPool",
     "content_hash",
-    "create_server",
     "execute_job",
-    "execute_job_resident",
     "load_manifest",
     "schema_content_hash",
     "validate_algorithm",

@@ -1,14 +1,12 @@
 """Asyncio HTTP front-end: the ``qmatch serve`` listener.
 
-A single-threaded :func:`asyncio.start_server` accept loop replaces
-the thread-per-connection :class:`http.server.ThreadingHTTPServer`:
-ten thousand idle keep-alive connections cost ten thousand coroutines,
-not ten thousand OS threads.  The front-end only does I/O -- parse a
+A single-threaded :func:`asyncio.start_server` accept loop: ten
+thousand idle keep-alive connections cost ten thousand coroutines, not
+ten thousand OS threads.  The front-end only does I/O -- parse a
 request head, stream the body (the size cap is enforced on the
 ``Content-Length`` *before* a byte is buffered), hand off to the
-shared router in :mod:`repro.service.http_api` on an executor thread,
-write the response back.  Because the router is shared with the
-threaded transport, both front-ends emit byte-identical JSON.
+router in :mod:`repro.service.http_api` on an executor thread, write
+the response back.
 
 Lifecycle: SIGTERM and SIGINT trigger a **graceful drain** -- the
 listener stops accepting, in-flight and queued jobs run to completion

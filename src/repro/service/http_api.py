@@ -1,13 +1,11 @@
-"""The HTTP JSON API, independent of any transport.
+"""The HTTP JSON API, independent of the socket layer.
 
-One request pipeline serves both front-ends -- the threaded
-:class:`~repro.service.server.MatchRequestHandler` (embedded/test use)
-and the asyncio :class:`~repro.service.aserver.AsyncMatchServer`
-(``qmatch serve``).  Each transport only reads bytes off its socket
-and writes the returned :class:`ApiResponse` back; every route,
-status code, error message, admission decision and metric sample is
-produced here, which is what keeps the JSON API byte-identical across
-transports.
+The asyncio :class:`~repro.service.aserver.AsyncMatchServer` behind
+``qmatch serve`` only reads bytes off its socket and writes the
+returned :class:`ApiResponse` back; every route, status code, error
+message, admission decision and metric sample is produced here.  That
+also lets :func:`handle_api_request` be driven directly, without a
+socket, in tests and benchmarks.
 
 Cross-cutting behaviour owned by this module:
 

@@ -1,18 +1,15 @@
-"""Persistent pre-warmed worker pool: the interactive serving backend.
+"""Persistent pre-warmed worker pool: the process-isolated backend.
 
-:class:`~repro.service.runner.BatchRunner` forks a fresh process per
-job attempt -- perfect isolation, but every request pays process
-creation, module imports, thesaurus load and schema parsing before any
-matching happens.  Fine for batch; fatal for interactive latency.
-
-:class:`WorkerPool` keeps ``workers`` long-lived child processes, each
-**pre-warmed** before the pool reports ready:
+Running a job in the calling process
+(:class:`~repro.service.runner.BatchRunner`) is fastest, but it cannot
+enforce a deadline and a hard crash takes the caller down.
+:class:`WorkerPool` keeps ``workers`` long-lived child processes
+instead, each **pre-warmed** before the pool reports ready:
 
 - the default thesaurus is parsed once and stays resident;
 - parsed schema trees are kept in a per-worker LRU keyed by content
   hash, so repeated requests over the same schemas skip XSD parsing
-  entirely (matching never mutates trees -- all memoization lives in
-  ``MatchContext`` -- which is what makes the cache safe);
+  entirely (see :func:`~repro.service.runner.execute_job`);
 - with a corpus configured, the :class:`~repro.corpus.search.CorpusSearcher`
   (corpus + inverted/MinHash indexes) loads once per worker and serves
   ``POST /search`` without ever re-reading the index from disk.
@@ -21,11 +18,16 @@ Jobs travel over a duplex pipe: the parent checks an idle worker out
 of a queue, sends the :class:`~repro.service.jobs.MatchJobSpec`, and
 waits for the reply envelope with the job's deadline.  A worker that
 crashes (EOF on the pipe) or overruns its deadline is killed and
-**respawned** -- the pool never shrinks -- and the failure surfaces as
-the same structured error/timeout record :class:`BatchRunner`
-produces, because both backends share
-:class:`~repro.service.runner.JobExecutionCore`'s state machine.
-Retry then naturally lands on a fresh (or different) worker.
+**respawned**, and the failure surfaces as a structured error/timeout
+record through the runner's state machine, which the pool inherits.
+Retry then lands on the fresh (or a different) worker.  A replacement
+that cannot warm up leaves an empty slot, which the next checkout
+tries to fill again; while it cannot, jobs fail with a
+:class:`PoolError` record instead of waiting for a worker that will
+never come.
+
+``qmatch serve`` and ``qmatch batch`` run on a pool, as do
+``evaluate_all(workers>1)`` and corpus reranks with ``workers > 1``.
 
 Instrumentation: ``service_pool_workers{state=idle|busy}`` gauges,
 ``service_pool_queue_wait_seconds`` (time a job waited for a free
@@ -35,15 +37,14 @@ worker -- the serving backpressure signal), and
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import queue as queue_module
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro.constraints.evidence import attach_result_axes
 from repro.obs.log import NULL_LOGGER
 from repro.obs.metrics import QUEUE_WAIT_BUCKETS, pool_depth_metrics
 from repro.obs.spans import (
@@ -53,11 +54,11 @@ from repro.obs.spans import (
     use_request_id,
     use_tracer,
 )
-from repro.service.jobs import JobQueue, MatchJobSpec
+from repro.service.jobs import MatchJobSpec
 from repro.service.runner import (
     DEFAULT_TIMEOUT,
-    BatchReport,
-    JobExecutionCore,
+    DEFAULT_TREE_CACHE,
+    BatchRunner,
     execute_job,
 )
 from repro.service.store import ResultStore
@@ -66,9 +67,6 @@ from repro.service.store import ResultStore
 #: up on it.  Warm-up parses the thesaurus and (optionally) loads a
 #: corpus index; generous but bounded.
 DEFAULT_SPAWN_TIMEOUT = 60.0
-
-#: Parsed schema trees kept resident per worker.
-DEFAULT_TREE_CACHE = 128
 
 
 class PoolError(RuntimeError):
@@ -80,8 +78,8 @@ class PoolWarmup:
 
     Picklable (plain attributes, module-level class) so it crosses the
     process boundary under any multiprocessing start method.  The
-    returned state dict is what :func:`execute_job_resident` and the
-    resident search path read.
+    returned state dict is what :func:`~repro.service.runner.execute_job`
+    and the resident search path read.
     """
 
     def __init__(self, corpus_dir=None, cache_dir=None,
@@ -112,93 +110,6 @@ class PoolWarmup:
                 shards=self.shards,
             )
         return state
-
-
-def _resident_tree(state: Optional[dict], xsd_text: str, content_hash: str,
-                   name: Optional[str]):
-    """Parse ``xsd_text`` through the worker's resident LRU tree cache."""
-    from repro.xsd.parser import parse_xsd
-
-    if state is None:
-        return parse_xsd(xsd_text, name=name)
-    trees: OrderedDict = state["trees"]
-    key = (content_hash, name)
-    tree = trees.get(key)
-    if tree is None:
-        tree = parse_xsd(xsd_text, name=name)
-        trees[key] = tree
-        if len(trees) > state.get("tree_cache", DEFAULT_TREE_CACHE):
-            trees.popitem(last=False)
-    else:
-        trees.move_to_end(key)
-    return tree
-
-
-def execute_job_resident(spec: MatchJobSpec, state: Optional[dict]) -> dict:
-    """Worker body with resident state: :func:`execute_job` semantics,
-    byte-identical result payloads, but schema parsing is served from
-    the per-worker tree cache when the pair was seen before."""
-    from repro.engine.registry import DEFAULT_REGISTRY
-    from repro.matching.io import result_to_payload
-    from repro.obs.trace import TraceRecorder, trace_run_id
-
-    started = time.perf_counter()
-    source = _resident_tree(
-        state, spec.source_xsd, spec.source_hash, spec.source_name or None
-    )
-    target = _resident_tree(
-        state, spec.target_xsd, spec.target_hash, spec.target_name or None
-    )
-    if spec.source_profiles or spec.target_profiles:
-        # Profiles are per-job evidence; the LRU trees are shared across
-        # jobs keyed by schema content alone, so attach to copies --
-        # mutating a resident tree would leak one job's data into the
-        # next job's match.
-        from repro.ingest.profile import attach_profiles
-
-        if spec.source_profiles:
-            source = source.copy()
-            attach_profiles(source, spec.source_profiles)
-        if spec.target_profiles:
-            target = target.copy()
-            attach_profiles(target, spec.target_profiles)
-    matcher = DEFAULT_REGISTRY.create(spec.algorithm, **spec.matcher_kwargs())
-    tracer = None
-    if spec.trace:
-        tracer = TraceRecorder(run_id=trace_run_id(
-            spec.source_hash, spec.target_hash,
-            matcher.fingerprint(spec.threshold, spec.strategy),
-        ))
-    context = matcher.make_context(source, target, tracer=tracer)
-    result = matcher.match(
-        source, target, threshold=spec.threshold, strategy=spec.strategy,
-        context=context,
-    )
-    payload = result_to_payload(result)
-    attach_result_axes(payload, result, matcher, source, target, context=context)
-    payload["source_hash"] = spec.source_hash
-    payload["target_hash"] = spec.target_hash
-    stats = result.stats.as_dict() if result.stats is not None else {}
-    envelope = {
-        "result": payload,
-        "stats": stats,
-        "elapsed": time.perf_counter() - started,
-    }
-    if tracer is not None:
-        envelope["trace"] = tracer.as_dict()
-    return envelope
-
-
-class _StatelessBody:
-    """Adapts a ``(spec) -> envelope`` body to the pool's
-    ``(spec, state)`` signature -- lets tests reuse the BatchRunner
-    worker injection points unchanged."""
-
-    def __init__(self, body=execute_job):
-        self.body = body
-
-    def __call__(self, spec, state):
-        return self.body(spec)
 
 
 def _search_resident(request: dict, state: Optional[dict]) -> dict:
@@ -257,11 +168,9 @@ def _pool_worker_main(conn, warm, worker_body):
             break
         if message is None:
             break
-        # Older 2-tuple messages stay valid; the optional third slot
-        # carries the request-scoped span context and request id.
-        kind, payload, extras = (
-            message if len(message) == 3 else (*message, None)
-        )
+        # The third slot carries the request-scoped span context and
+        # request id (None when the request is not traced).
+        kind, payload, extras = message
         tracer = None
         if extras and extras.get("span"):
             tracer = SpanTracer.from_context(extras["span"])
@@ -316,8 +225,8 @@ class _WorkerHandle:
         self.jobs = 0
 
 
-class WorkerPool(JobExecutionCore):
-    """N persistent pre-warmed workers behind the shared job core."""
+class WorkerPool(BatchRunner):
+    """N persistent pre-warmed workers behind the runner's state machine."""
 
     mode = "pool"
 
@@ -326,63 +235,72 @@ class WorkerPool(JobExecutionCore):
                  timeout: Optional[float] = DEFAULT_TIMEOUT,
                  retries: int = 1,
                  retry_backoff: float = 0.1,
-                 worker=execute_job_resident,
+                 worker=execute_job,
                  warm=None,
                  corpus_dir=None,
                  cache_dir=None,
                  scorer: str = "cosine",
                  segmented: bool = False,
                  shards=None,
-                 mp_context=None,
                  log=NULL_LOGGER,
                  metrics=None,
                  constraint=None,
                  spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT):
-        """``worker`` is the resident job body ``(spec, state) ->
-        envelope`` (wrap a plain ``(spec)`` body with
-        :class:`_StatelessBody`); ``warm`` overrides the default
-        :class:`PoolWarmup` built from ``corpus_dir``/``cache_dir``/
-        ``scorer``.  The constructor blocks until every worker finished
-        warming (or ``spawn_timeout`` expires), so the first request
-        never pays cold-start cost.
+        """``worker`` is the job body ``(spec, state) -> envelope``,
+        called with the worker's resident state; ``warm`` overrides the
+        default :class:`PoolWarmup` built from ``corpus_dir``/
+        ``cache_dir``/``scorer``.  The constructor blocks until every
+        worker finished warming (or ``spawn_timeout`` expires), so the
+        first request never pays cold-start cost; if one worker fails
+        to warm up, the ones already started are stopped before the
+        :class:`PoolError` propagates.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         super().__init__(
             store=store, timeout=timeout, retries=retries,
-            retry_backoff=retry_backoff, log=log, metrics=metrics,
-            constraint=constraint,
+            retry_backoff=retry_backoff, worker=worker, log=log,
+            metrics=metrics, constraint=constraint,
         )
         self.workers = workers
-        self.worker = worker
         self.warm = warm if warm is not None else PoolWarmup(
             corpus_dir=corpus_dir, cache_dir=cache_dir, scorer=scorer,
             segmented=segmented, shards=shards,
         )
         self.spawn_timeout = spawn_timeout
-        if mp_context is None:
-            import multiprocessing
-
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-        self._mp = mp_context
+        # fork keeps spawn cost near-zero (the parsed library is
+        # inherited); fall back to the default context elsewhere.
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else None
+        )
+        #: One entry per slot that is not checked out: a worker handle,
+        #: or None for a slot whose worker could not be respawned.
         self._idle: queue_module.Queue = queue_module.Queue()
         self._handles: list[_WorkerHandle] = []
         self._pool_lock = threading.Lock()
         self._closed = False
+        #: How many of the idle queue's entries are empty slots.
+        self._lost = 0
         self.respawns = 0
         self.has_corpus = False
-        for _ in range(workers):
-            self._checkin(self._spawn())
+        try:
+            for _ in range(workers):
+                self._checkin(self._spawn())
+        except PoolError:
+            self.shutdown(wait=False)
+            raise
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
 
     def _spawn(self) -> _WorkerHandle:
-        """Start one worker and wait for its pre-warm to complete."""
+        """Start one worker and wait for its pre-warm to complete.
+
+        Raises :class:`PoolError`, with the worker stopped, when the
+        warm-up fails, dies or overruns ``spawn_timeout``.
+        """
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         process = self._mp.Process(
             target=_pool_worker_main,
@@ -398,19 +316,22 @@ class WorkerPool(JobExecutionCore):
                     f"pool worker did not warm up within "
                     f"{self.spawn_timeout:g}s"
                 )
-            ready = parent_conn.recv()
-        except (EOFError, OSError) as exc:
+            try:
+                ready = parent_conn.recv()
+            except (EOFError, OSError) as exc:
+                raise PoolError(
+                    f"pool worker died during warm-up: {exc}"
+                ) from None
+            if not ready.get("ready"):
+                error = ready.get("error") or {}
+                raise PoolError(
+                    "pool worker failed to warm up: "
+                    f"{error.get('type', 'Error')}: "
+                    f"{error.get('message', '?')}"
+                )
+        except PoolError:
             self._kill(handle)
-            raise PoolError(
-                f"pool worker died during warm-up: {exc}"
-            ) from None
-        if not ready.get("ready"):
-            error = ready.get("error") or {}
-            self._kill(handle)
-            raise PoolError(
-                "pool worker failed to warm up: "
-                f"{error.get('type', 'Error')}: {error.get('message', '?')}"
-            )
+            raise
         self.has_corpus = bool(ready.get("corpus"))
         with self._pool_lock:
             self._handles.append(handle)
@@ -434,7 +355,11 @@ class WorkerPool(JobExecutionCore):
             handle.process.join(5)
 
     def _respawn(self, handle: _WorkerHandle, reason: str):
-        """Replace a dead/hung worker so the pool never shrinks."""
+        """Replace a dead/hung worker so the pool never shrinks.
+
+        A replacement that fails to warm up leaves an empty slot (None)
+        in the idle queue; the next checkout of that slot tries again.
+        """
         self._kill(handle)
         self.respawns += 1
         if self.metrics is not None:
@@ -445,7 +370,17 @@ class WorkerPool(JobExecutionCore):
         self.log.event(
             "pool.respawn", reason=reason, respawns=self.respawns,
         )
-        self._checkin(self._spawn())
+        try:
+            self._checkin(self._spawn())
+        except PoolError as exc:
+            self._lose_slot(exc)
+
+    def _lose_slot(self, exc: PoolError):
+        """Park an empty slot in the idle queue after a failed spawn."""
+        with self._pool_lock:
+            self._lost += 1
+        self.log.event("pool.spawn_failed", error=str(exc))
+        self._checkin(None)
 
     # ------------------------------------------------------------------
     # Checkout / checkin
@@ -456,6 +391,16 @@ class WorkerPool(JobExecutionCore):
             raise PoolError("worker pool is shut down")
         waited_from = time.perf_counter()
         handle = self._idle.get()
+        if handle is None:
+            # An empty slot: fill it now, or fail this request (the
+            # slot stays empty for the next one to retry).
+            with self._pool_lock:
+                self._lost -= 1
+            try:
+                handle = self._spawn()
+            except PoolError as exc:
+                self._lose_slot(exc)
+                raise
         waited = time.perf_counter() - waited_from
         if self.metrics is not None:
             self.metrics.histogram(
@@ -467,7 +412,7 @@ class WorkerPool(JobExecutionCore):
         tracer = current_tracer()
         if tracer.enabled:
             tracer.record("pool.checkout", waited,
-                          {"idle": self._idle.qsize()})
+                          {"idle": self.idle_count})
         return handle
 
     def _checkin(self, handle: _WorkerHandle):
@@ -477,7 +422,7 @@ class WorkerPool(JobExecutionCore):
 
     def _set_depth_gauges(self):
         pool_depth_metrics(
-            self.metrics, size=self.size, idle=self._idle.qsize(),
+            self.metrics, size=self.size, idle=self.idle_count,
         )
 
     @property
@@ -487,7 +432,8 @@ class WorkerPool(JobExecutionCore):
 
     @property
     def idle_count(self) -> int:
-        return self._idle.qsize()
+        with self._pool_lock:
+            return self._idle.qsize() - self._lost
 
     # ------------------------------------------------------------------
     # Request execution
@@ -542,6 +488,7 @@ class WorkerPool(JobExecutionCore):
                 message = handle.conn.recv()
             except (EOFError, OSError):
                 keep = False
+                handle.process.join(1)  # reap it, so the exit code is known
                 exitcode = handle.process.exitcode
                 self.log.event(
                     "pool.worker_crash", kind=kind, phase="recv",
@@ -586,51 +533,6 @@ class WorkerPool(JobExecutionCore):
         )
 
     # ------------------------------------------------------------------
-    # Batch entry point (parity with BatchRunner.run)
-    # ------------------------------------------------------------------
-
-    def run(self, specs: Iterable[MatchJobSpec],
-            queue: Optional[JobQueue] = None) -> BatchReport:
-        """Run every spec over the pool; report in submission order."""
-        queue = queue if queue is not None else JobQueue()
-        records = queue.submit_all(specs)
-        self.log.event(
-            "batch.start", jobs=len(records), workers=self.workers,
-            mode="pool",
-        )
-        started = time.perf_counter()
-        if self.workers == 1:
-            for record in records:
-                self.run_record(record, queue)
-        else:
-            with ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="qmatch-pool",
-            ) as dispatchers:
-                futures = [
-                    dispatchers.submit(self.run_record, record, queue)
-                    for record in records
-                ]
-                for future in futures:
-                    future.result()
-        report = BatchReport(
-            records=records,
-            workers=self.workers,
-            wall_seconds=time.perf_counter() - started,
-            stats=self.stats,
-            traces={
-                record.job_id: self.traces[record.job_id]
-                for record in records if record.job_id in self.traces
-            },
-        )
-        self.log.event(
-            "batch.done", wall_seconds=round(report.wall_seconds, 6),
-            jobs=len(records), counts=report.counts,
-            cache_hits=report.cache_hits,
-        )
-        return report
-
-    # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
 
@@ -642,12 +544,11 @@ class WorkerPool(JobExecutionCore):
             return
         self._closed = True
         if wait:
-            # Claim every worker slot: each claim returns only when that
+            # Claim every slot: each claim returns only when that
             # worker is idle again, i.e. its in-flight request finished.
-            claimed = []
-            for _ in range(self.size):
+            for _ in range(self.workers):
                 try:
-                    claimed.append(self._idle.get(timeout=self.spawn_timeout))
+                    self._idle.get(timeout=self.spawn_timeout)
                 except queue_module.Empty:
                     break
         with self._pool_lock:

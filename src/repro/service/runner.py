@@ -1,81 +1,58 @@
-"""Job execution core + the fork-per-job parallel batch runner.
+"""The per-job state machine and the one job body every backend runs.
 
-Two layers live here, deliberately separated so every execution
-backend shares one set of semantics:
+:func:`execute_job` is the **job body**: parse the pair, match it,
+build the stored payload.  Given a pool worker's resident ``state`` it
+takes its trees from that worker's LRU tree cache instead of parsing;
+the payload bytes are the same either way.
 
-:class:`JobExecutionCore` is the **per-job state machine**, backend
-agnostic.  It drives a :class:`~repro.service.jobs.JobRecord` through
-its lifecycle:
+:class:`BatchRunner` is the **per-job state machine**, and it runs each
+attempt in the calling process.  It drives a
+:class:`~repro.service.jobs.JobRecord` through its lifecycle:
 
 1. **Cache check** -- the content-addressed
    :class:`~repro.service.store.ResultStore` is consulted first; a hit
-   completes the job without any worker (``cache_hit=True``, zero
+   completes the job without running it (``cache_hit=True``, zero
    attempts).
 2. **Bounded retry with backoff** -- timeouts and errors are retried up
    to ``retries`` extra attempts with exponential backoff, then land in
    the ``timed-out`` / ``failed`` state.  A bad pair never aborts the
    batch.
-3. **Stats / trace / metrics collection** -- worker envelopes fold
-   their :class:`~repro.engine.stats.EngineStats` and trace snapshots
-   back into the core under one lock, and every terminal job emits a
-   log event plus metric samples.
+3. **Stats / trace / metrics collection** -- job envelopes fold their
+   :class:`~repro.engine.stats.EngineStats` and trace snapshots back
+   into the runner under one lock, and every terminal job emits a log
+   event plus metric samples.
 
-What the core does *not* define is how one attempt actually executes:
-subclasses implement ``_execute(spec, timeout)``.  Two backends exist:
-
-- :class:`BatchRunner` (here) -- **fork-per-job**: each attempt runs
-  :func:`execute_job` in a fresh ``multiprocessing`` child process,
-  which gives a real per-job deadline (the child is terminated on
-  timeout) and turns a hard worker crash (segfault, ``os._exit``) into
-  a structured error record instead of a poisoned pool.  Best for
-  batch workloads where per-job process cost amortizes over long jobs.
-- :class:`~repro.service.pool.WorkerPool` -- **persistent pre-warmed
-  workers**: attempts dispatch over pipes to long-lived processes that
-  keep expensive state (thesaurus, parsed schemas, corpus index)
-  resident.  Best for interactive serving, where fork + re-import +
-  re-parse per request dominates latency.
-
-Because both run the *same* state machine, retry/timeout/crash
-semantics, cache behaviour, and result bytes are identical across
-backends -- asserted by the byte-identity tests.
-
-Concurrency in :class:`BatchRunner` is a thread pool of dispatchers,
-each managing one child process at a time, so ``workers=4`` means at
-most four concurrent match processes.  ``inline=True`` skips process
-isolation and runs jobs on the dispatcher thread itself -- the lowest
-latency mode, and the fallback where ``fork``/``spawn`` is unavailable
-(timeouts are then not enforceable).
+In-process attempts are the lowest-latency mode, but a deadline cannot
+be enforced on them and a hard crash takes the caller down.
+:class:`~repro.service.pool.WorkerPool` subclasses the runner and
+overrides only how one attempt executes: on a persistent pre-warmed
+worker process that is killed at its deadline and respawned after a
+crash.  Because both share this state machine, cache behaviour, error
+records and result bytes are identical across the two.
 
 A run produces a :class:`BatchReport`: job records in deterministic
 submission order, per-state counts, store hit rates and the merged
-:class:`~repro.engine.stats.EngineStats` of every worker (worker
-processes return their stats as dicts; the parent folds them back in
-through :meth:`EngineStats.from_dict`).
+:class:`~repro.engine.stats.EngineStats` of every job (worker processes
+return their stats as dicts; the parent folds them back in through
+:meth:`EngineStats.from_dict`).
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.constraints.evidence import attach_result_axes
 from repro.engine.registry import DEFAULT_REGISTRY
 from repro.engine.stats import EngineStats
 from repro.matching.io import result_to_payload
 from repro.obs.log import NULL_LOGGER
-from repro.obs.spans import (
-    SpanTracer,
-    current_request_id,
-    current_tracer,
-    use_request_id,
-    use_tracer,
-)
+from repro.obs.spans import current_tracer
 from repro.obs.trace import TraceRecorder, trace_run_id
 from repro.service.jobs import JobQueue, JobRecord, JobState, MatchJobSpec
 from repro.service.store import ResultStore
@@ -109,35 +86,70 @@ def job_fingerprint(spec: MatchJobSpec) -> str:
     return fingerprint
 
 
-def execute_job(spec: MatchJobSpec) -> dict:
-    """Worker body: run one match job and return a picklable envelope.
+#: Parsed schema trees kept resident per pool worker.
+DEFAULT_TREE_CACHE = 128
+
+
+def _job_tree(state: Optional[dict], xsd_text: str, content_hash: str,
+              name: Optional[str], profiles: Optional[dict]):
+    """One side of a job's pair, with its instance profiles attached.
+
+    Without ``state`` the tree is parsed fresh.  With a pool worker's
+    resident ``state`` it comes through the worker's LRU tree cache,
+    keyed by content hash and name (matching never mutates trees -- all
+    memoization lives in ``MatchContext`` -- which is what makes the
+    cache safe).  Profiles are per-job evidence, so a cached tree gets
+    them on a copy: mutating a resident tree would leak one job's data
+    into the next job's match.
+    """
+    from repro.xsd.parser import parse_xsd
+
+    if state is None:
+        tree = parse_xsd(xsd_text, name=name)
+    else:
+        trees: OrderedDict = state["trees"]
+        key = (content_hash, name)
+        tree = trees.get(key)
+        if tree is None:
+            tree = parse_xsd(xsd_text, name=name)
+            trees[key] = tree
+            if len(trees) > state.get("tree_cache", DEFAULT_TREE_CACHE):
+                trees.popitem(last=False)
+        else:
+            trees.move_to_end(key)
+        if profiles:
+            tree = tree.copy()
+    if profiles:
+        from repro.ingest.profile import attach_profiles
+
+        attach_profiles(tree, profiles)
+    return tree
+
+
+def execute_job(spec: MatchJobSpec, state: Optional[dict] = None) -> dict:
+    """The job body: run one match job and return a picklable envelope.
 
     Returns ``{"result": <stored payload>, "stats": <EngineStats dict>,
     "elapsed": seconds}``.  The result payload is the self-describing
     format of :mod:`repro.matching.io` plus the schema content hashes,
     so a store entry alone identifies what produced it.  Deliberately
     deterministic: no timestamps, no timings inside the payload -- a
-    warm-cache rerun must be byte-identical.
+    warm-cache rerun must be byte-identical.  ``state`` is a pool
+    worker's resident state (see :func:`_job_tree`); it changes where
+    the trees come from, never the payload.
 
     With ``spec.trace`` set, a :class:`~repro.obs.trace.TraceRecorder`
     rides through the match and comes back as ``envelope["trace"]``
     (an :meth:`~repro.obs.trace.TraceRecorder.as_dict` snapshot).  Its
     run ID derives from the spec's content hashes and the matcher
-    fingerprint, so the trace of a forked worker is byte-identical to
+    fingerprint, so the trace of a pool worker is byte-identical to
     the same job run inline or via ``qmatch match --trace``.
     """
-    from repro.xsd.parser import parse_xsd
-
     started = time.perf_counter()
-    source = parse_xsd(spec.source_xsd, name=spec.source_name or None)
-    target = parse_xsd(spec.target_xsd, name=spec.target_name or None)
-    if spec.source_profiles or spec.target_profiles:
-        from repro.ingest.profile import attach_profiles
-
-        if spec.source_profiles:
-            attach_profiles(source, spec.source_profiles)
-        if spec.target_profiles:
-            attach_profiles(target, spec.target_profiles)
+    source = _job_tree(state, spec.source_xsd, spec.source_hash,
+                       spec.source_name or None, spec.source_profiles)
+    target = _job_tree(state, spec.target_xsd, spec.target_hash,
+                       spec.target_name or None, spec.target_profiles)
     matcher = DEFAULT_REGISTRY.create(spec.algorithm, **spec.matcher_kwargs())
     tracer = None
     if spec.trace:
@@ -163,46 +175,6 @@ def execute_job(spec: MatchJobSpec) -> dict:
     if tracer is not None:
         envelope["trace"] = tracer.as_dict()
     return envelope
-
-
-def _process_entry(conn, worker, spec):
-    """Child-process entry: run ``worker`` and ship the outcome back."""
-    try:
-        value = worker(spec)
-        conn.send({"ok": True, "value": value})
-    except BaseException as exc:  # noqa: BLE001 -- boundary: report, don't die
-        conn.send({
-            "ok": False,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        })
-    finally:
-        conn.close()
-
-
-class _SpanWorker:
-    """Carries the request span context across the fork boundary.
-
-    A picklable wrapper (plain attributes, module-level class -- works
-    under any multiprocessing start method) that builds the worker-side
-    tracer, runs the job body under it, and rides the exported spans
-    back on the envelope.  The parent pops the ``spans`` key before the
-    result payload goes anywhere, so stored/served bytes are identical
-    with tracing on or off.
-    """
-
-    def __init__(self, body, context: dict, request_id: str):
-        self.body = body
-        self.context = context
-        self.request_id = request_id
-
-    def __call__(self, spec):
-        tracer = SpanTracer.from_context(self.context)
-        with use_request_id(self.request_id), use_tracer(tracer):
-            with tracer.span("worker.job", {"pid": os.getpid()}):
-                envelope = self.body(spec)
-        if isinstance(envelope, dict):
-            envelope["spans"] = tracer.export_spans()
-        return envelope
 
 
 @dataclass
@@ -332,28 +304,35 @@ class BatchReport:
         return "\n".join(lines)
 
 
-class JobExecutionCore:
-    """The backend-agnostic per-job state machine.
+class BatchRunner:
+    """The per-job state machine, running each attempt in-process.
 
     Owns cache lookup, bounded retry with backoff, stats/trace
-    aggregation and terminal-state bookkeeping.  Subclasses provide the
-    actual attempt execution via :meth:`_execute` and whatever process
-    lifecycle that requires (fork-per-job in :class:`BatchRunner`,
-    persistent pre-warmed workers in
-    :class:`~repro.service.pool.WorkerPool`).
+    aggregation and terminal-state bookkeeping.  Jobs run one at a
+    time on the calling thread; :class:`~repro.service.pool.WorkerPool`
+    overrides :meth:`_execute` to run them on worker processes, and
+    :meth:`run` dispatches over ``workers`` threads.
     """
+
+    mode = "inline"
+    #: Jobs :meth:`run` executes at once (a pool sets its worker count).
+    workers = 1
 
     def __init__(self, store: Optional[ResultStore] = None,
                  timeout: Optional[float] = DEFAULT_TIMEOUT,
                  retries: int = 1,
                  retry_backoff: float = 0.1,
+                 worker: Callable[..., dict] = execute_job,
                  log=NULL_LOGGER,
                  metrics=None,
                  constraint=None):
         """``retries`` is the number of *extra* attempts after the first;
-        ``retry_backoff`` seconds double per retry.  ``log`` is an
-        :class:`~repro.obs.log.EventLogger` (disabled by default);
-        ``metrics`` an optional
+        ``retry_backoff`` seconds double per retry.  ``timeout`` is the
+        per-job deadline, which only a worker process can enforce.
+        ``worker`` is the job body ``(spec, state=None) -> envelope``,
+        injectable so tests can simulate failures, crashes and hangs.
+        ``log`` is an :class:`~repro.obs.log.EventLogger` (disabled by
+        default); ``metrics`` an optional
         :class:`~repro.obs.metrics.MetricsRegistry` fed per-job
         counters/latency histograms.  ``constraint`` is an optional
         default :class:`repro.constraints.Constraint` evaluated against
@@ -366,6 +345,7 @@ class JobExecutionCore:
         self.timeout = timeout
         self.retries = retries
         self.retry_backoff = retry_backoff
+        self.worker = worker
         self.log = log
         self.metrics = metrics
         self.constraint = constraint
@@ -420,7 +400,7 @@ class JobExecutionCore:
             tracer.finish(span, attributes={"state": record.state.value})
 
     def _apply_constraint(self, record: JobRecord):
-        """Evaluate the record's (or the core's default) constraint.
+        """Evaluate the record's (or the runner's default) constraint.
 
         Always runs in the parent process over the completed result
         payload plus trees re-parsed from the spec's canonical XSD text
@@ -548,57 +528,19 @@ class JobExecutionCore:
         )
 
     # ------------------------------------------------------------------
-    # One attempt (backend-specific)
+    # One attempt
     # ------------------------------------------------------------------
 
     def _execute(self, spec: MatchJobSpec, timeout: Optional[float]):
         """One attempt.  Returns ``("ok", envelope)``,
-        ``("timeout", error)`` or ``("error", error)``."""
-        raise NotImplementedError
-
-
-class BatchRunner(JobExecutionCore):
-    """Run many match jobs over a bounded pool of worker processes.
-
-    The fork-per-job backend: every attempt gets a fresh child process
-    (or runs inline with ``inline=True``).  Simple, perfectly isolated,
-    and the right trade for batch workloads; the per-request fork cost
-    is what :class:`~repro.service.pool.WorkerPool` exists to remove.
-    """
-
-    def __init__(self, workers: int = 1,
-                 store: Optional[ResultStore] = None,
-                 timeout: Optional[float] = DEFAULT_TIMEOUT,
-                 retries: int = 1,
-                 retry_backoff: float = 0.1,
-                 inline: bool = False,
-                 worker: Callable[[MatchJobSpec], dict] = execute_job,
-                 mp_context=None,
-                 log=NULL_LOGGER,
-                 metrics=None,
-                 constraint=None):
-        """``worker`` is the job body -- injectable so tests can
-        simulate crashes and hangs; the rest is
-        :class:`JobExecutionCore`'s contract."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        super().__init__(
-            store=store, timeout=timeout, retries=retries,
-            retry_backoff=retry_backoff, log=log, metrics=metrics,
-            constraint=constraint,
-        )
-        self.workers = workers
-        self.inline = inline
-        self.worker = worker
-        if mp_context is None and not inline:
-            methods = multiprocessing.get_all_start_methods()
-            # fork keeps per-job process cost near-zero (the parsed
-            # library is inherited); fall back to the default context
-            # elsewhere.
-            mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-        self._mp = mp_context
+        ``("timeout", error)`` or ``("error", error)``; in-process
+        attempts never time out."""
+        try:
+            return "ok", self.worker(spec)
+        except Exception as exc:  # noqa: BLE001 -- job boundary
+            return "error", {
+                "type": type(exc).__name__, "message": str(exc),
+            }
 
     # ------------------------------------------------------------------
     # Batch entry point
@@ -611,7 +553,7 @@ class BatchRunner(JobExecutionCore):
         records = queue.submit_all(specs)
         self.log.event(
             "batch.start", jobs=len(records), workers=self.workers,
-            inline=self.inline,
+            mode=self.mode,
         )
         started = time.perf_counter()
         if self.workers == 1:
@@ -621,9 +563,9 @@ class BatchRunner(JobExecutionCore):
             with ThreadPoolExecutor(
                 max_workers=self.workers,
                 thread_name_prefix="qmatch-batch",
-            ) as pool:
+            ) as dispatchers:
                 futures = [
-                    pool.submit(self.run_record, record, queue)
+                    dispatchers.submit(self.run_record, record, queue)
                     for record in records
                 ]
                 for future in futures:
@@ -644,104 +586,3 @@ class BatchRunner(JobExecutionCore):
             cache_hits=report.cache_hits,
         )
         return report
-
-    # ------------------------------------------------------------------
-    # One attempt
-    # ------------------------------------------------------------------
-
-    def _execute(self, spec: MatchJobSpec,
-                 timeout: Optional[float]):
-        """One attempt.  Returns ``("ok", envelope)``,
-        ``("timeout", error)`` or ``("error", error)``."""
-        if self.inline:
-            return self._execute_inline(spec)
-        return self._execute_process(spec, timeout)
-
-    def _execute_inline(self, spec: MatchJobSpec):
-        try:
-            return "ok", self.worker(spec)
-        except Exception as exc:  # noqa: BLE001 -- job boundary
-            return "error", {
-                "type": type(exc).__name__, "message": str(exc),
-            }
-
-    def _execute_process(self, spec: MatchJobSpec,
-                         timeout: Optional[float]):
-        tracer = current_tracer()
-        worker = self.worker
-        span = None
-        if tracer.enabled:
-            span = tracer.start("fork.execute")
-            worker = _SpanWorker(
-                self.worker, tracer.propagation_context(span),
-                current_request_id(),
-            )
-        parent_conn, child_conn = self._mp.Pipe(duplex=False)
-        process = self._mp.Process(
-            target=_process_entry,
-            args=(child_conn, worker, spec),
-            daemon=True,
-        )
-        process.start()
-        # Close our copy of the child end so EOF propagates if the
-        # child dies without sending.
-        child_conn.close()
-        try:
-            # Wait on the pipe, not the process: a large payload blocks
-            # the child's send until we read it, so joining first would
-            # deadlock into a spurious timeout.
-            if not parent_conn.poll(timeout):
-                self._kill(process)
-                tracer.finish(span, status="ERROR",
-                              attributes={"error.type": "JobTimeout"})
-                return "timeout", {
-                    "type": "JobTimeout",
-                    "message": f"job exceeded its {timeout:g}s deadline",
-                }
-            try:
-                message = parent_conn.recv()
-            except (EOFError, OSError):
-                message = None
-        finally:
-            parent_conn.close()
-        process.join(5)
-        if process.is_alive():
-            self._kill(process)
-        if message is None:
-            tracer.finish(span, status="ERROR",
-                          attributes={"error.type": "WorkerCrash"})
-            return "error", {
-                "type": "WorkerCrash",
-                "message": (
-                    "worker process died without a result "
-                    f"(exit code {process.exitcode})"
-                ),
-            }
-        if message["ok"]:
-            value = message["value"]
-            if span is not None and isinstance(value, dict):
-                # Pop the side channel before the envelope's payload is
-                # stored or served: result bytes never carry spans.
-                tracer.adopt(value.pop("spans", None), anchor=span)
-            tracer.finish(span)
-            return "ok", value
-        tracer.finish(span, status="ERROR", attributes={
-            "error.type": message["error"].get("type", "Error"),
-        })
-        return "error", message["error"]
-
-    @staticmethod
-    def _kill(process):
-        process.terminate()
-        process.join(5)
-        if process.is_alive():
-            process.kill()
-            process.join(5)
-
-
-def run_batch(specs: Sequence[MatchJobSpec], workers: int = 1,
-              cache_dir=None, **kwargs) -> BatchReport:
-    """Convenience one-call batch: build the store and runner, run."""
-    store = ResultStore(cache_dir) if cache_dir is not None else None
-    runner = BatchRunner(workers=workers, store=store, **kwargs)
-    return runner.run(specs)

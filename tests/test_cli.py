@@ -371,6 +371,13 @@ class TestServeCommand:
         assert main(["serve", "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--mode", "fork"], ["--inline"]])
+    def test_removed_backends_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", *argv])
+        assert exit_info.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
+
 
 class TestEvaluateRegistryOptions:
     def test_algorithm_selection(self, capsys):

@@ -4,8 +4,8 @@ Two contracts under test:
 
 1. **Dormant by default** -- with the ``instance`` weight at its 0.0
    default, results, config fingerprints, result-store keys and traces
-   are byte-identical to the four-axis model, across the inline, fork
-   and pool execution backends.
+   are byte-identical to the four-axis model, across the inline and
+   pool execution backends.
 2. **Decisive when weighted** -- profile evidence resolves leaf
    pairings the four schema-text axes tie or mis-rank.
 """
@@ -133,9 +133,8 @@ class TestDormantByteIdentity:
         assert b'"instance"' not in snapshots[0]
 
     def test_backends_agree_on_profiled_jobs(self):
-        """Inline, fork and pool execution produce byte-identical
-        results for a job that carries profiles and a nonzero
-        instance weight."""
+        """Inline and pool execution produce byte-identical results for
+        a job that carries profiles and a nonzero instance weight."""
         from repro.ingest.profile import collect_profiles
 
         source, target = profiled_pair()
@@ -146,22 +145,15 @@ class TestDormantByteIdentity:
             target_profiles=collect_profiles(target),
         )
         payloads = {}
-        for name, runner in (
-            ("inline", BatchRunner(workers=1, inline=True, retries=0)),
-            ("fork", BatchRunner(workers=1, inline=False, retries=0)),
-        ):
-            queue = JobQueue()
-            record = queue.submit(spec)
-            runner.run_record(record, queue)
-            assert record.state is JobState.DONE
-            payloads[name] = canonical_json(record.result)
         with WorkerPool(workers=1, retries=0) as pool:
-            queue = JobQueue()
-            record = queue.submit(spec)
-            pool.run_record(record, queue)
-            assert record.state is JobState.DONE
-            payloads["pool"] = canonical_json(record.result)
-        assert payloads["inline"] == payloads["fork"] == payloads["pool"]
+            for name, runner in (("inline", BatchRunner(retries=0)),
+                                 ("pool", pool)):
+                queue = JobQueue()
+                record = queue.submit(spec)
+                runner.run_record(record, queue)
+                assert record.state is JobState.DONE
+                payloads[name] = canonical_json(record.result)
+        assert payloads["inline"] == payloads["pool"]
 
     def test_pool_resident_trees_not_polluted_by_profiles(self):
         """A profiled job must not leak its profiles into the pool's

@@ -157,7 +157,7 @@ class TestPropagation:
 
     def test_adopt_rebases_onto_anchor_timeline(self):
         parent = SpanTracer("t1")
-        anchor = parent.start("fork.execute")
+        anchor = parent.start("pool.execute")
         worker_spans = [{
             "span_id": "0001.0001", "parent_id": "0001",
             "name": "worker.job", "start": 0.01, "duration": 0.2,

@@ -1,13 +1,14 @@
 """Serving-core tests: worker pool, admission control, graceful drain.
 
-The serving contract under test (ISSUE 6): a persistent pre-warmed
-pool produces results byte-identical to inline and fork-per-job
-execution; a crashed worker is respawned and the job retried; a hung
-worker is killed at its deadline and respawned; a saturated service
-answers 429 with ``Retry-After``; oversized bodies answer 413; the job
-registry stays bounded with monotonic counts; and SIGTERM drains
-in-flight jobs before a clean exit -- on both the threaded and asyncio
-transports, which must emit byte-identical responses.
+The serving contract under test: a persistent pre-warmed pool
+produces results byte-identical to inline execution; a crashed worker
+is respawned and the job retried; a hung worker is killed at its
+deadline and respawned; a worker that cannot be respawned fails jobs
+instead of hanging them; a pool that fails to start leaks no worker;
+a saturated service answers 429 with ``Retry-After``; oversized bodies
+answer 413; the job registry stays bounded with monotonic counts; and
+SIGTERM drains in-flight jobs before a clean exit.  Every HTTP test
+runs on the asyncio transport that ``qmatch serve`` runs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -29,9 +31,9 @@ import pytest
 
 from repro.service.aserver import AsyncMatchServer
 from repro.service.jobs import JobQueue, JobState, MatchJobSpec
-from repro.service.pool import WorkerPool, _StatelessBody
+from repro.service.pool import PoolError, PoolWarmup, WorkerPool
 from repro.service.runner import BatchRunner, execute_job
-from repro.service.server import MatchService, create_server
+from repro.service.server import MatchService
 from repro.service.store import ResultStore, canonical_json
 from repro.xsd.builder import TreeBuilder
 from repro.xsd.serializer import to_xsd
@@ -69,14 +71,18 @@ def pair_body(**extra):
 # Injectable worker bodies (module-level: must survive fork)
 # ----------------------------------------------------------------------
 
-def slow_worker(spec):
+def slow_worker(spec, state=None):
     time.sleep(0.4)
-    return execute_job(spec)
+    return execute_job(spec, state)
 
 
-def hanging_worker(spec):
+def hanging_worker(spec, state=None):
     time.sleep(30)
-    return execute_job(spec)
+    return execute_job(spec, state)
+
+
+def crashing_worker(spec, state=None):
+    os._exit(13)  # hard crash, no exception, no result
 
 
 class CrashOnceWorker:
@@ -89,11 +95,31 @@ class CrashOnceWorker:
     def __init__(self, sentinel):
         self.sentinel = str(sentinel)
 
-    def __call__(self, spec):
+    def __call__(self, spec, state=None):
         if not os.path.exists(self.sentinel):
             open(self.sentinel, "w").close()
             os._exit(23)
-        return execute_job(spec)
+        return execute_job(spec, state)
+
+
+class WarmLimit(PoolWarmup):
+    """The default warm-up, but only the first ``limit`` calls succeed.
+
+    Each call leaves a file in ``directory``, which counts warm-ups
+    across the worker processes that run them.
+    """
+
+    def __init__(self, directory, limit):
+        super().__init__()
+        self.directory = str(directory)
+        self.limit = limit
+
+    def __call__(self):
+        done = len(os.listdir(self.directory))
+        open(os.path.join(self.directory, f"warm-{done}"), "w").close()
+        if done >= self.limit:
+            raise RuntimeError(f"warm-up {done + 1} refused")
+        return super().__call__()
 
 
 # ----------------------------------------------------------------------
@@ -125,13 +151,6 @@ def raw_request(url, path, method="GET", body=None):
         return response.status, response.read()
     finally:
         conn.close()
-
-
-def threaded_server(service):
-    server = create_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, thread, f"http://127.0.0.1:{server.server_address[1]}"
 
 
 class AsyncServerThread:
@@ -235,22 +254,15 @@ class TestWorkerPool:
     def test_results_byte_identical_across_backends(self, tmp_path):
         spec = make_spec()
         payloads = {}
-        for name, runner in (
-            ("inline", BatchRunner(workers=1, inline=True, retries=0)),
-            ("fork", BatchRunner(workers=1, inline=False, retries=0)),
-        ):
-            queue = JobQueue()
-            record = queue.submit(spec)
-            runner.run_record(record, queue)
-            assert record.state is JobState.DONE
-            payloads[name] = canonical_json(record.result)
         with WorkerPool(workers=1, retries=0) as pool:
-            queue = JobQueue()
-            record = queue.submit(spec)
-            pool.run_record(record, queue)
-            assert record.state is JobState.DONE
-            payloads["pool"] = canonical_json(record.result)
-        assert payloads["inline"] == payloads["fork"] == payloads["pool"]
+            for name, runner in (("inline", BatchRunner(retries=0)),
+                                 ("pool", pool)):
+                queue = JobQueue()
+                record = queue.submit(spec)
+                runner.run_record(record, queue)
+                assert record.state is JobState.DONE
+                payloads[name] = canonical_json(record.result)
+        assert payloads["inline"] == payloads["pool"]
 
     def test_warm_workers_reused_across_jobs(self):
         with WorkerPool(workers=1, retries=0) as pool:
@@ -267,7 +279,7 @@ class TestWorkerPool:
     def test_crash_respawns_worker_and_retry_succeeds(self, tmp_path):
         worker = CrashOnceWorker(tmp_path / "crashed-once")
         with WorkerPool(workers=1, retries=1, retry_backoff=0,
-                        worker=_StatelessBody(worker)) as pool:
+                        worker=worker) as pool:
             queue = JobQueue()
             record = queue.submit(make_spec())
             pool.run_record(record, queue)
@@ -279,7 +291,7 @@ class TestWorkerPool:
     def test_crash_without_retry_is_structured_failure(self, tmp_path):
         worker = CrashOnceWorker(tmp_path / "crashed-once")
         with WorkerPool(workers=1, retries=0,
-                        worker=_StatelessBody(worker)) as pool:
+                        worker=worker) as pool:
             queue = JobQueue()
             record = queue.submit(make_spec())
             pool.run_record(record, queue)
@@ -290,7 +302,7 @@ class TestWorkerPool:
 
     def test_timeout_kills_and_respawns(self):
         with WorkerPool(workers=1, retries=0, timeout=0.3,
-                        worker=_StatelessBody(hanging_worker)) as pool:
+                        worker=hanging_worker) as pool:
             queue = JobQueue()
             record = queue.submit(make_spec())
             started = time.perf_counter()
@@ -310,6 +322,52 @@ class TestWorkerPool:
         ]
         assert report.counts["done"] == 4
 
+    def test_failed_respawn_fails_jobs_instead_of_hanging(self, tmp_path):
+        """A crash whose replacement cannot warm up leaves an empty
+        slot; the next job fails with a PoolError record at once."""
+        warm = WarmLimit(tmp_path, limit=1)
+        with WorkerPool(workers=1, retries=0, worker=crashing_worker,
+                        warm=warm) as pool:
+            queue = JobQueue()
+            crashed, after = queue.submit_all([make_spec(), make_spec()])
+            pool.run_record(crashed, queue)
+            assert crashed.state is JobState.FAILED
+            assert pool.size == 0
+            runner = threading.Thread(
+                target=pool.run_record, args=(after, queue), daemon=True,
+            )
+            runner.start()
+            runner.join(8)
+            assert not runner.is_alive(), "job hung on a pool with no worker"
+            assert after.state is JobState.FAILED
+            assert after.error["type"] == "PoolError"
+            assert "failed to warm up" in after.error["message"]
+            assert pool.idle_count == 0
+
+    def test_failed_respawn_slot_is_refilled_later(self, tmp_path):
+        warm = WarmLimit(tmp_path, limit=1)
+        worker = CrashOnceWorker(tmp_path / "crashed-once")
+        with WorkerPool(workers=1, retries=0, worker=worker,
+                        warm=warm) as pool:
+            queue = JobQueue()
+            crashed, healed = queue.submit_all([make_spec(), make_spec()])
+            pool.run_record(crashed, queue)
+            assert pool.size == 0
+            warm.limit = 99  # later spawns read the raised limit
+            pool.run_record(healed, queue)
+            assert healed.state is JobState.DONE
+            assert pool.size == 1
+
+    def test_failed_constructor_stops_started_workers(self, tmp_path):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with pytest.raises(PoolError, match="failed to warm up"):
+            WorkerPool(workers=3, warm=WarmLimit(tmp_path, limit=2))
+        leaked = [
+            child for child in multiprocessing.active_children()
+            if child.pid not in before
+        ]
+        assert leaked == []
+
     def test_shutdown_is_idempotent(self):
         pool = WorkerPool(workers=1, retries=0)
         pool.shutdown()
@@ -326,8 +384,8 @@ class TestAdmissionAndLimits:
     def test_saturated_service_answers_429_with_retry_after(self):
         service = MatchService(workers=1, worker=slow_worker,
                                max_pending=2)
-        server, thread, url = threaded_server(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             for _ in range(2):
                 status, _, _ = request(f"{url}/jobs", "POST", pair_body())
                 assert status == 202
@@ -338,16 +396,11 @@ class TestAdmissionAndLimits:
             assert headers["Retry-After"] == "1"
             assert "saturated" in payload["error"]
             assert payload["retry_after"] == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
-            thread.join(5)
 
     def test_saturation_recovers_once_jobs_finish(self):
         service = MatchService(workers=1, max_pending=1)
-        server, thread, url = threaded_server(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             status, first, _ = request(f"{url}/jobs", "POST", pair_body())
             assert status == 202
             deadline = time.time() + 10
@@ -358,16 +411,11 @@ class TestAdmissionAndLimits:
                 time.sleep(0.02)
             status, _, _ = request(f"{url}/jobs", "POST", pair_body())
             assert status == 202
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
-            thread.join(5)
 
     def test_oversized_body_answers_413(self):
         service = MatchService(workers=1, max_body_bytes=512)
-        server, thread, url = threaded_server(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             status, payload, _ = request(
                 f"{url}/jobs", "POST",
                 pair_body(label="x" * 2048),
@@ -376,16 +424,11 @@ class TestAdmissionAndLimits:
             assert "exceeds the 512-byte limit" in payload["error"]
             # The service stays healthy for in-budget requests.
             assert request(f"{url}/healthz")[0] == 200
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
-            thread.join(5)
 
     def test_jobs_pagination_over_http(self):
         service = MatchService(workers=1)
-        server, thread, url = threaded_server(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             for i in range(5):
                 spec = service.spec_from_request(pair_body(label=f"job{i}"))
                 record = service.queue.submit(spec)
@@ -402,16 +445,11 @@ class TestAdmissionAndLimits:
             assert request(f"{url}/jobs?limit=0")[0] == 400
             assert request(f"{url}/jobs?offset=-1")[0] == 400
             assert request(f"{url}/jobs?limit=nope")[0] == 400
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
-            thread.join(5)
 
     def test_bounded_registry_over_http_keeps_monotonic_counts(self):
         service = MatchService(workers=1, max_jobs=2)
-        server, thread, url = threaded_server(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             for _ in range(3):
                 status, done, _ = request(
                     f"{url}/match", "POST", pair_body()
@@ -423,11 +461,6 @@ class TestAdmissionAndLimits:
             assert stats["jobs"]["done"] == 3
             assert stats["jobs"]["evicted"] == 1
             assert stats["limits"]["max_jobs"] == 2
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
-            thread.join(5)
 
 
 # ----------------------------------------------------------------------
@@ -440,8 +473,8 @@ class TestPoolServiceOverHttp:
             workers=1, mode="pool", retries=1,
             worker=CrashOnceWorker(tmp_path / "crashed-once"),
         )
-        server, thread, url = threaded_server(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             status, done, _ = request(f"{url}/match", "POST", pair_body())
             assert status == 200
             assert done["state"] == "done"
@@ -450,28 +483,18 @@ class TestPoolServiceOverHttp:
             assert stats["mode"] == "pool"
             assert stats["pool"]["respawns"] == 1
             assert stats["pool"]["size"] == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
-            thread.join(5)
 
     def test_pool_service_result_matches_inline_service(self, tmp_path):
         results = {}
         for mode in ("inline", "pool"):
             service = MatchService(workers=1, mode=mode)
-            server, thread, url = threaded_server(service)
-            try:
+            with AsyncServerThread(service) as running:
+                url = running.url
                 status, done, _ = request(
                     f"{url}/match", "POST", pair_body()
                 )
                 assert status == 200
                 results[mode] = canonical_json(done["result"])
-            finally:
-                server.shutdown()
-                server.server_close()
-                service.shutdown()
-                thread.join(5)
         assert results["inline"] == results["pool"]
 
 
@@ -482,8 +505,8 @@ class TestPoolServiceOverHttp:
 class TestGracefulDrain:
     def test_drain_finishes_in_flight_jobs_and_rejects_new_work(self):
         service = MatchService(workers=2, worker=slow_worker)
-        server, thread, url = threaded_server(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             submitted = []
             for _ in range(2):
                 status, job, _ = request(f"{url}/jobs", "POST", pair_body())
@@ -509,10 +532,6 @@ class TestGracefulDrain:
             assert drain_result["ok"] is True
             for job_id in submitted:
                 assert service.queue.get(job_id).state is JobState.DONE
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(5)
 
     def test_drain_timeout_reports_incomplete(self):
         service = MatchService(workers=1, worker=slow_worker)
@@ -565,51 +584,52 @@ class TestGracefulDrain:
 
 
 # ----------------------------------------------------------------------
-# Transport parity: threaded vs asyncio front-end
+# Transport: the asyncio front-end's exact bytes
 # ----------------------------------------------------------------------
+
+#: Status and body bytes of the error and listing routes, captured when
+#: a second (threaded) transport still had to emit the same bytes.
+GOLDEN_RESPONSES = {
+    ("GET", "/healthz", None): (200, b'{\n  "status": "ok"\n}'),
+    ("GET", "/jobs", None): (
+        200,
+        b'{\n  "jobs": [],\n  "total": 0,\n  "offset": 0,\n'
+        b'  "limit": 100\n}',
+    ),
+    ("GET", "/jobs/job-9999", None): (
+        404, b'{\n  "error": "no job \'job-9999\'"\n}',
+    ),
+    ("GET", "/nope", None): (
+        404, b'{\n  "error": "no route for \'/nope\'"\n}',
+    ),
+    ("POST", "/jobs", b""): (
+        400, b'{\n  "error": "request body is empty"\n}',
+    ),
+    ("POST", "/jobs", b"not json"): (
+        400,
+        b'{\n  "error": "request body is not valid JSON: Expecting '
+        b'value: line 1 column 1 (char 0)"\n}',
+    ),
+    ("POST", "/search", b"{}"): (
+        400,
+        b'{\n  "error": "no corpus configured; start the service with '
+        b'qmatch serve --corpus DIR"\n}',
+    ),
+}
+
 
 class TestTransportParity:
     @pytest.fixture()
-    def transports(self):
-        threaded_service = MatchService(workers=1)
-        async_service = MatchService(workers=1)
-        server, thread, threaded_url = threaded_server(threaded_service)
-        with AsyncServerThread(async_service) as async_server:
-            yield threaded_url, async_server.url
-        server.shutdown()
-        server.server_close()
-        threaded_service.shutdown()
-        thread.join(5)
+    def async_url(self):
+        with AsyncServerThread(MatchService(workers=1)) as running:
+            yield running.url
 
-    @pytest.mark.parametrize("method,path,body", [
-        ("GET", "/healthz", None),
-        ("GET", "/jobs", None),
-        ("GET", "/jobs/job-9999", None),
-        ("GET", "/nope", None),
-        ("POST", "/jobs", b""),
-        ("POST", "/jobs", b"not json"),
-        ("POST", "/search", b"{}"),
-    ])
-    def test_responses_byte_identical(self, transports, method, path, body):
-        threaded_url, async_url = transports
-        threaded = raw_request(threaded_url, path, method, body)
-        asynced = raw_request(async_url, path, method, body)
-        assert asynced == threaded
+    @pytest.mark.parametrize("method,path,body", list(GOLDEN_RESPONSES))
+    def test_responses_byte_identical(self, async_url, method, path, body):
+        assert raw_request(async_url, path, method, body) == \
+            GOLDEN_RESPONSES[(method, path, body)]
 
-    def test_match_results_identical_across_transports(self, transports):
-        threaded_url, async_url = transports
-        body = json.dumps(pair_body()).encode("utf-8")
-        t_status, t_bytes = raw_request(threaded_url, "/match", "POST", body)
-        a_status, a_bytes = raw_request(async_url, "/match", "POST", body)
-        assert t_status == a_status == 200
-        t_payload = json.loads(t_bytes)
-        a_payload = json.loads(a_bytes)
-        # Timing fields differ run to run; the result payload may not.
-        assert (canonical_json(a_payload["result"])
-                == canonical_json(t_payload["result"]))
-
-    def test_async_transport_keep_alive_and_404(self, transports):
-        _, async_url = transports
+    def test_async_transport_keep_alive_and_404(self, async_url):
         host, _, port = async_url.removeprefix("http://").partition(":")
         conn = http.client.HTTPConnection(host, int(port), timeout=10)
         try:
@@ -619,8 +639,19 @@ class TestTransportParity:
                 response = conn.getresponse()
                 assert response.status == 200
                 assert json.loads(response.read()) == {"status": "ok"}
+            sock = conn.sock
             conn.request("GET", "/jobs/job-0001")
-            assert conn.getresponse().status == 404 or True
+            response = conn.getresponse()
+            assert response.status == 404
+            assert json.loads(response.read()) == {
+                "error": "no job 'job-0001'",
+            }
+            # The 404 leaves the same connection open and answering.
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == {"status": "ok"}
+            assert conn.sock is sock
         finally:
             conn.close()
 

@@ -1,13 +1,15 @@
 """End-to-end tests for the ``qmatch serve`` HTTP service.
 
-A real :class:`ThreadingHTTPServer` is bound to an ephemeral port and
-exercised over actual HTTP: submit-poll-fetch, the synchronous
-convenience route, cache behaviour, and the 400/404/409 error paths.
+The asyncio front-end ``qmatch serve`` runs is bound to an ephemeral
+port and exercised over actual HTTP: submit-poll-fetch, the
+synchronous convenience route, cache behaviour, and the 400/404/409
+error paths.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -16,9 +18,11 @@ import urllib.request
 import pytest
 
 from repro.datasets import po1, po2
-from repro.service.server import MatchService, create_server
+from repro.service.server import MatchService
 from repro.service.store import ResultStore
 from repro.xsd.serializer import to_xsd
+
+from tests.test_service_pool import AsyncServerThread
 
 
 @pytest.fixture()
@@ -30,13 +34,8 @@ def service(tmp_path):
 
 @pytest.fixture()
 def server_url(service):
-    server = create_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-    thread.join(5)
+    with AsyncServerThread(service) as running:
+        yield running.url
 
 
 def request(url, method="GET", body=None):
@@ -142,9 +141,9 @@ class TestErrorPaths:
         block = threading.Event()
         original_worker = service.runner.worker
 
-        def gated_worker(spec):
+        def gated_worker(spec, state=None):
             block.wait(10)
-            return original_worker(spec)
+            return original_worker(spec, state)
 
         service.runner.worker = gated_worker
         try:
@@ -207,12 +206,17 @@ class TestServiceWithoutStore:
             service.shutdown()
 
 
+def crashing_worker(spec, state=None):
+    os._exit(13)
+
+
 class TestIsolatedMode:
-    """``serve`` default: jobs run in worker processes, not in-thread."""
+    """``serve`` default: jobs run in pool worker processes, isolated
+    from the service process."""
 
     def test_isolated_service_completes_jobs(self, tmp_path):
         service = MatchService(
-            workers=2, store=ResultStore(tmp_path / "cache"), isolate=True,
+            workers=2, store=ResultStore(tmp_path / "cache"), mode="pool",
         )
         try:
             record = service.run_sync(
@@ -220,18 +224,13 @@ class TestIsolatedMode:
             )
             assert record.state.value == "done"
             assert record.result["tree_qom"] > 0.9
-            assert service.stats_snapshot()["mode"] == "isolated"
+            assert service.stats_snapshot()["mode"] == "pool"
         finally:
             service.shutdown()
 
     def test_isolated_mode_survives_worker_crash(self):
-        import os
-
-        def crashing_worker(spec):
-            os._exit(13)
-
         service = MatchService(
-            workers=1, isolate=True, retries=0, worker=crashing_worker,
+            workers=1, mode="pool", retries=0, worker=crashing_worker,
             timeout=30.0,
         )
         try:
@@ -239,8 +238,10 @@ class TestIsolatedMode:
                 service.spec_from_request(po_pair_body())
             )
             assert record.state.value == "failed"
-            assert "crash" in record.error["message"].lower() or \
-                record.error["type"]
+            assert record.error["type"] == "WorkerCrash"
+            assert "exit code 13" in record.error["message"]
+            # The crashed worker was replaced; the service still answers.
+            assert service.stats_snapshot()["pool"]["size"] == 1
         finally:
             service.shutdown()
 
@@ -264,13 +265,8 @@ class TestSearchEndpoint:
 
     @pytest.fixture()
     def corpus_url(self, corpus_service):
-        server = create_server(corpus_service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-        server.shutdown()
-        server.server_close()
-        thread.join(5)
+        with AsyncServerThread(corpus_service) as running:
+            yield running.url
 
     def test_search_returns_ranking(self, corpus_url):
         status, payload = request(

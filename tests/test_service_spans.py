@@ -2,9 +2,9 @@
 
 One sampled request must yield a *single stitched span tree* no matter
 which execution backend ran the middle of the pipeline -- inline on
-the service thread, a fork per attempt, or a persistent pool worker on
-the far side of a pipe.  These tests drive real HTTP front-ends and
-assert on the exported JSONL, exactly what an operator would see.
+the service thread, or a persistent pool worker on the far side of a
+pipe.  These tests drive the real HTTP front-end and assert on the
+exported JSONL, exactly what an operator would see.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import pytest
 
 from repro.obs.log import EventLogger
 from repro.obs.spans import load_span_file
-from repro.service.pool import WorkerPool, _StatelessBody
+from repro.service.pool import WorkerPool
 from repro.service.runner import JobQueue
-from repro.service.server import MatchService, create_server
+from repro.service.server import MatchService
 from repro.service.store import canonical_json
 from repro.xsd.serializer import to_xsd
 
@@ -55,13 +55,6 @@ def pair_body(**extra):
     body = {"source_xsd": source_xsd, "target_xsd": target_xsd}
     body.update(extra)
     return body
-
-
-def threaded(service):
-    server = create_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, f"http://127.0.0.1:{server.server_address[1]}"
 
 
 def span_tree(spans):
@@ -126,21 +119,17 @@ class TestStitchedSpanTree:
             workers=1, mode="inline", searcher=sharded_searcher,
             trace_sample=1.0, trace_export=export,
         )
-        server, url = threaded(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             status, payload, _ = request(
                 f"{url}/search", "POST", query_body(),
             )
             assert status == 200
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
         spans = load_span_file(export)
         assert len({span["trace_id"] for span in spans}) == 1
         by_id, root = span_tree(spans)
         assert root["name"] == "http.request"
-        assert root["attributes"]["transport"] == "threaded"
+        assert root["attributes"]["transport"] == "asyncio"
         spanned = names(spans)
         for stage in ("router", "admission", "corpus.retrieve",
                       "corpus.rerank", "job.execute", "response.write"):
@@ -161,23 +150,18 @@ class TestStitchedSpanTree:
             assert span["start"] >= root["start"] - 1e-6
             assert span["duration"] >= 0
 
-    @pytest.mark.parametrize("mode", ["pool", "fork"])
-    def test_cross_process_match_tree(self, tmp_path, mode):
+    def test_cross_process_match_tree(self, tmp_path):
         export = tmp_path / "spans.jsonl"
         service = MatchService(
-            workers=1, mode=mode, trace_sample=1.0, trace_export=export,
+            workers=1, mode="pool", trace_sample=1.0, trace_export=export,
         )
-        server, url = threaded(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             status, payload, _ = request(
                 f"{url}/match", "POST", pair_body(),
             )
             assert status == 200
             assert payload["state"] == "done"
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
         spans = load_span_file(export)
         by_id, root = span_tree(spans)
         assert root["name"] == "http.request"
@@ -185,19 +169,37 @@ class TestStitchedSpanTree:
         assert "job.execute" in spanned
         assert "job.attempt" in spanned
         assert "worker.job" in spanned
-        if mode == "pool":
-            assert "pool.checkout" in spanned
-            assert "pool.execute" in spanned
-        else:
-            assert "fork.execute" in spanned
+        assert "pool.checkout" in spanned
         # the worker-side span is stitched: prefixed id, valid parent
         worker = next(s for s in spans if s["name"] == "worker.job")
         assert "." in worker["span_id"]
-        assert worker["parent_id"] in by_id
-        assert by_id[worker["parent_id"]]["name"] in (
-            "pool.execute", "fork.execute",
-        )
+        assert by_id[worker["parent_id"]]["name"] == "pool.execute"
         assert worker["attributes"]["pid"]
+
+    def test_cross_process_search_tree(self, tmp_path, sharded_searcher):
+        export = tmp_path / "spans.jsonl"
+        service = MatchService(
+            workers=1, mode="pool", corpus_dir=sharded_searcher.corpus.root,
+            segmented=True, shards=3, trace_sample=1.0, trace_export=export,
+        )
+        assert service.runner.has_corpus
+        with AsyncServerThread(service) as running:
+            status, payload, _ = request(
+                f"{running.url}/search", "POST", query_body(),
+            )
+            assert status == 200
+            assert payload["hits"]
+        by_id, root = span_tree(load_span_file(export))
+        assert root["name"] == "http.request"
+        worker = next(
+            s for s in by_id.values() if s["name"] == "worker.search"
+        )
+        anchor = worker["parent_id"]
+        assert by_id[anchor]["name"] == "pool.execute"
+        # the search ran in the worker: its stages carry the anchor prefix
+        for stage in ("corpus.retrieve", "retrieve.shard", "corpus.rerank"):
+            span = next(s for s in by_id.values() if s["name"] == stage)
+            assert span["span_id"].startswith(anchor + ".")
 
     def test_async_transport_tree(self, tmp_path):
         export = tmp_path / "spans.jsonl"
@@ -226,18 +228,14 @@ class TestStitchedSpanTree:
             workers=1, mode="inline", trace_sample=1.0,
             trace_export=export,
         )
-        server, url = threaded(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             status, payload, _ = request(
                 f"{url}/match", "POST", pair_body(constraints={
                     "tree-qom": {"op": ">=", "value": 0.0},
                 }),
             )
             assert status == 200
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
         spans = load_span_file(export)
         constraint = next(
             s for s in spans if s["name"] == "constraints.evaluate"
@@ -252,14 +250,10 @@ class TestStitchedSpanTree:
             workers=1, mode="inline", trace_sample=0.0,
             trace_export=export,
         )
-        server, url = threaded(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             status, _, _ = request(f"{url}/match", "POST", pair_body())
             assert status == 200
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
         assert not export.exists()
 
 
@@ -268,7 +262,7 @@ class TestStitchedSpanTree:
 # ----------------------------------------------------------------------
 
 class TestPayloadByteIdentity:
-    @pytest.mark.parametrize("mode", ["inline", "pool", "fork"])
+    @pytest.mark.parametrize("mode", ["inline", "pool"])
     def test_match_result_identical_with_and_without_sampling(
             self, tmp_path, mode):
         results = {}
@@ -278,17 +272,13 @@ class TestPayloadByteIdentity:
                 workers=1, mode=mode, trace_sample=rate,
                 trace_export=export,
             )
-            server, url = threaded(service)
-            try:
+            with AsyncServerThread(service) as running:
+                url = running.url
                 status, payload, _ = request(
                     f"{url}/match", "POST", pair_body(),
                 )
                 assert status == 200
                 results[rate] = payload["result"]
-            finally:
-                server.shutdown()
-                server.server_close()
-                service.shutdown()
         assert canonical_json(results[0.0]) == canonical_json(results[1.0])
 
     def test_search_results_identical_with_and_without_sampling(
@@ -300,8 +290,8 @@ class TestPayloadByteIdentity:
                 trace_sample=rate,
                 trace_export=tmp_path / f"spans-{rate}.jsonl",
             )
-            server, url = threaded(service)
-            try:
+            with AsyncServerThread(service) as running:
+                url = running.url
                 status, payload, _ = request(
                     f"{url}/search", "POST", query_body(),
                 )
@@ -312,46 +302,14 @@ class TestPayloadByteIdentity:
                     key: value for key, value in payload.items()
                     if key != "stats"
                 }
-            finally:
-                server.shutdown()
-                server.server_close()
-                service.shutdown()
         assert canonical_json(results[0.0]) == canonical_json(results[1.0])
 
 
 # ----------------------------------------------------------------------
-# X-Request-Id on every response, both transports
+# X-Request-Id on every response
 # ----------------------------------------------------------------------
 
 class TestRequestId:
-    def test_derived_id_on_threaded_transport(self):
-        service = MatchService(workers=1, mode="inline")
-        server, url = threaded(service)
-        try:
-            _, _, headers = request(f"{url}/healthz")
-            assert headers.get("X-Request-Id")
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
-
-    def test_client_id_echoed_on_threaded_transport(self):
-        service = MatchService(workers=1, mode="inline")
-        server, url = threaded(service)
-        try:
-            _, _, headers = request(
-                f"{url}/healthz", headers={"X-Request-Id": "client-abc"},
-            )
-            assert headers.get("X-Request-Id") == "client-abc"
-            # error responses carry the id too
-            status, _, headers = request(f"{url}/nope")
-            assert status == 404
-            assert headers.get("X-Request-Id")
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
-
     def test_request_id_on_async_transport(self):
         service = MatchService(workers=1, mode="inline")
         with AsyncServerThread(service) as running:
@@ -362,7 +320,10 @@ class TestRequestId:
             assert headers.get("X-Request-Id") == "async-xyz"
             _, _, headers = request(f"{running.url}/healthz")
             assert headers.get("X-Request-Id")
-        service.shutdown()
+            # error responses carry the id too
+            status, _, headers = request(f"{running.url}/nope")
+            assert status == 404
+            assert headers.get("X-Request-Id")
 
     def test_sampled_request_id_matches_trace_id_prefix(self, tmp_path):
         export = tmp_path / "spans.jsonl"
@@ -370,14 +331,10 @@ class TestRequestId:
             workers=1, mode="inline", trace_sample=1.0,
             trace_export=export,
         )
-        server, url = threaded(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             _, _, headers = request(f"{url}/healthz")
             request_id = headers.get("X-Request-Id")
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
         spans = load_span_file(export)
         assert spans[0]["trace_id"].startswith(request_id)
 
@@ -389,8 +346,8 @@ class TestRequestId:
 class TestSloAndMetricsRoutes:
     def test_metrics_content_type_is_prometheus_0_0_4(self):
         service = MatchService(workers=1, mode="inline")
-        server, url = threaded(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             req = urllib.request.Request(f"{url}/metrics")
             with urllib.request.urlopen(req, timeout=10) as response:
                 assert response.headers.get("Content-Type") == \
@@ -398,15 +355,11 @@ class TestSloAndMetricsRoutes:
                 body = response.read().decode("utf-8")
             assert "qmatch_slo_attainment" in body
             assert "qmatch_slo_error_budget_remaining" in body
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
 
     def test_slo_route_reports_objectives(self):
         service = MatchService(workers=1, mode="inline")
-        server, url = threaded(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             request(f"{url}/healthz")
             status, payload, _ = request(f"{url}/slo")
             assert status == 200
@@ -415,10 +368,6 @@ class TestSloAndMetricsRoutes:
             assert by_name["availability"]["met"] is True
             assert by_name["availability"]["attainment"] == 1.0
             assert by_name["latency-fast"]["effective_threshold"] == 0.25
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
 
     def test_slo_route_label_normalized(self):
         from repro.service.http_api import route_label
@@ -428,8 +377,8 @@ class TestSloAndMetricsRoutes:
 
     def test_slo_route_in_metrics_labels(self):
         service = MatchService(workers=1, mode="inline")
-        server, url = threaded(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             request(f"{url}/slo")
             status, _, _ = request(f"{url}/slo")
             assert status == 200
@@ -437,10 +386,6 @@ class TestSloAndMetricsRoutes:
             with urllib.request.urlopen(req, timeout=10) as response:
                 body = response.read().decode("utf-8")
             assert 'route="/slo"' in body
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -460,7 +405,7 @@ class TestStructuredEvents:
         log = EventLogger(stream=stream, run_id="r1")
         worker = CrashOnceWorker(tmp_path / "crashed-once")
         with WorkerPool(workers=1, retries=0,
-                        worker=_StatelessBody(worker), log=log) as pool:
+                        worker=worker, log=log) as pool:
             queue = JobQueue()
             record = queue.submit(make_spec())
             pool.run_record(record, queue)
@@ -478,7 +423,7 @@ class TestStructuredEvents:
         stream = io.StringIO()
         log = EventLogger(stream=stream, run_id="r1")
         with WorkerPool(workers=1, retries=0, timeout=0.3,
-                        worker=_StatelessBody(hanging_worker),
+                        worker=hanging_worker,
                         log=log) as pool:
             queue = JobQueue()
             record = queue.submit(make_spec())
@@ -525,8 +470,8 @@ class TestConcurrentScrapes:
             workers=1, mode="pool", retries=1,
             worker=CrashOnceWorker(tmp_path / "crashed-once"),
         )
-        server, url = threaded(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             status, payload, _ = request(
                 f"{url}/match", "POST", pair_body(),
             )
@@ -569,10 +514,6 @@ class TestConcurrentScrapes:
                 for count_line in counts:
                     value = float(count_line.split()[-1])
                     assert value == int(value) >= 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -589,15 +530,11 @@ class TestObsCli:
             workers=1, mode="inline", trace_sample=1.0,
             trace_export=export,
         )
-        server, url = threaded(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             for _ in range(3):
                 status, _, _ = request(f"{url}/match", "POST", pair_body())
                 assert status == 200
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
         assert main(["obs", "report", str(export)]) == 0
         out = capsys.readouterr().out
         expected = render_span_report(span_report(load_span_file(export)))
@@ -620,13 +557,9 @@ class TestObsCli:
             workers=1, mode="inline", trace_sample=1.0,
             trace_export=export,
         )
-        server, url = threaded(service)
-        try:
+        with AsyncServerThread(service) as running:
+            url = running.url
             request(f"{url}/healthz")
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown()
         assert main(["obs", "waterfall", str(export)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("trace ")
